@@ -89,6 +89,11 @@ class CGRA:
         self._neighbors_or_self: List[FrozenSet[int]] = [
             self._neighbors[i] | {i} for i in range(len(self._pes))
         ]
+        self._reach_tables: Dict[Optional[Opcode], Tuple[Tuple[int, ...], ...]] = {}
+        # the array is immutable once built: derive the summaries once
+        self._connectivity_degree = max(len(n) for n in self._neighbors) + 1
+        first = self._pes[0].operations
+        self._homogeneous = all(pe.operations == first for pe in self._pes)
 
     # ------------------------------------------------------------------ #
     # Basic structure
@@ -128,6 +133,26 @@ class CGRA:
         """Indices of PEs whose register file PE ``index`` can read."""
         return self._neighbors_or_self[index]
 
+    def reach_table(
+        self, opcode: Optional[Opcode] = None
+    ) -> Tuple[Tuple[int, ...], ...]:
+        """:meth:`neighbors_or_self` of every PE as a flat tuple, by PE index.
+
+        With ``opcode`` each tuple keeps only the PEs that support it. Built
+        once per CGRA (and opcode) for the space search's hot path; each
+        tuple keeps the iteration order of the frozenset it flattens.
+        """
+        table = self._reach_tables.get(opcode)
+        if table is None:
+            if opcode is None:
+                table = tuple(tuple(reach) for reach in self._neighbors_or_self)
+            else:
+                supporting = self.supporting_pes(opcode)
+                table = tuple(tuple(reach & supporting)
+                              for reach in self._neighbors_or_self)
+            self._reach_tables[opcode] = table
+        return table
+
     def adjacent(self, a: int, b: int) -> bool:
         """True if distinct PEs ``a`` and ``b`` are connected."""
         return b in self._neighbors[a]
@@ -139,7 +164,7 @@ class CGRA:
     @property
     def connectivity_degree(self) -> int:
         """The paper's ``D_M``: max neighbour count *including* the self-loop."""
-        return max(len(n) for n in self._neighbors) + 1
+        return self._connectivity_degree
 
     @property
     def has_uniform_degree(self) -> bool:
@@ -188,8 +213,7 @@ class CGRA:
     @property
     def is_homogeneous(self) -> bool:
         """True if every PE supports the same operation set."""
-        first = self._pes[0].operations
-        return all(pe.operations == first for pe in self._pes)
+        return self._homogeneous
 
     def operation_sets(self) -> Tuple[FrozenSet[Opcode], ...]:
         """Per-PE operation sets in row-major order (the heterogeneity map)."""

@@ -59,6 +59,7 @@ class MRRG:
         self.ii = ii
         self.time_adjacency = time_adjacency
         self._num_pes = cgra.num_pes
+        self._reach = cgra.reach_table()
 
     # ------------------------------------------------------------------ #
     # Vertex encoding
@@ -120,7 +121,8 @@ class MRRG:
     # ------------------------------------------------------------------ #
     # Adjacency
     # ------------------------------------------------------------------ #
-    def _slots_adjacent(self, slot_a: int, slot_b: int) -> bool:
+    def slots_adjacent(self, slot_a: int, slot_b: int) -> bool:
+        """True if values of slot ``slot_a`` are readable in ``slot_b``."""
         if self.time_adjacency is TimeAdjacency.ALL_PAIRS:
             return True
         if slot_a == slot_b:
@@ -132,10 +134,11 @@ class MRRG:
         """True if distinct vertices ``a`` and ``b`` are MRRG-adjacent."""
         if a == b:
             return False
-        pe_a, pe_b = self.pe_of(a), self.pe_of(b)
-        if not self.cgra.adjacent_or_self(pe_a, pe_b):
+        slot_a, pe_a = divmod(a, self._num_pes)
+        slot_b, pe_b = divmod(b, self._num_pes)
+        if pe_b not in self._reach[pe_a]:
             return False
-        return self._slots_adjacent(self.slot_of(a), self.slot_of(b))
+        return self.slots_adjacent(slot_a, slot_b)
 
     def neighbors(self, vertex: int) -> Iterator[int]:
         """All vertices adjacent to ``vertex`` (lazily generated)."""
@@ -143,7 +146,7 @@ class MRRG:
         slot = self.slot_of(vertex)
         reachable_pes = self.cgra.neighbors_or_self(pe)
         for other_slot in range(self.ii):
-            if not self._slots_adjacent(slot, other_slot):
+            if not self.slots_adjacent(slot, other_slot):
                 continue
             base = other_slot * self._num_pes
             for other_pe in reachable_pes:

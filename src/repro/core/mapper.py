@@ -11,9 +11,9 @@
 3. the first successful placement is validated and returned; if no schedule
    of the current ``II`` can be placed, ``II`` is increased.
 
-Two pragmatic refinements over the paper's description are implemented (both
-are needed only on workloads wider than the paper's and are exercised by the
-ablation benches):
+Three pragmatic refinements over the paper's description are implemented
+(the first two are needed only on workloads wider than the paper's and are
+exercised by the ablation benches; the third is exact and always on):
 
 * if the time phase proves an ``II`` infeasible, the schedule horizon is
   extended (``MapperConfig.max_extra_slack``) before giving up on that
@@ -21,7 +21,17 @@ ablation benches):
   steady-state throughput;
 * the space phase may reject several schedules of the same ``II``; the time
   phase then enumerates further solutions (up to
-  ``MapperConfig.max_time_solutions_per_ii``).
+  ``MapperConfig.max_time_solutions_per_ii``);
+* many of those schedules share one slot labelling, and whether a schedule
+  can be placed depends only on its labelling, the DFG's edges and the
+  MRRG. Each ``map()`` call keeps the labellings whose search ran to
+  completion without a placement and skips the search for any later
+  schedule with the same key
+  (:func:`~repro.core.space_solver.labelling_key`: a canonical slot
+  renaming under ``ALL_PAIRS`` adjacency, the exact labelling plus II
+  under ``CONSECUTIVE``). A timed-out search is never recorded. The
+  DFG's pattern adjacency and search order are likewise built once per
+  call (:class:`~repro.core.space_solver.PatternShape`).
 
 The result records the wall-clock time spent in each phase separately,
 matching the "Time / Space" columns of the paper's Table III.
@@ -32,7 +42,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.opt.pipeline import OptResult
@@ -42,7 +52,7 @@ from repro.core.config import MapperConfig
 from repro.core.exceptions import PhaseTimeoutError
 from repro.core.feasibility import analyze_feasibility
 from repro.core.mapping import Mapping
-from repro.core.space_solver import SpaceSolver
+from repro.core.space_solver import PatternShape, SpaceSolver, labelling_key
 from repro.core.time_solver import IncrementalTimeSolver, Schedule, TimeSolver
 from repro.core.validation import assert_valid_mapping
 from repro.graphs.analysis import critical_path_length, rec_ii, res_ii
@@ -102,7 +112,9 @@ class MappingResult:
       ``reduce``;
     * ``solver`` -- SAT kernel counters: ``conflicts``, ``decisions``,
       ``propagations``, ``learnts``, ``restarts``, ``reductions``, ...;
-    * ``space`` -- space-phase counters: ``calls``, ``nodes_explored``,
+    * ``space`` -- space-phase counters: ``calls`` (searches that ran),
+      ``reused`` (schedules refuted from an earlier search of the same
+      slot labelling, without a search), ``nodes_explored``,
       ``backtracks``;
     * ``engine`` -- which engine produced the result; ``backend`` -- the
       SAT kernel behind an exact engine; ``detailed`` -- whether the
@@ -295,6 +307,10 @@ class MonomorphismMapper:
             if self.config.incremental_time
             else None
         )
+        # The space problem of a schedule is fixed by its labelling (see
+        # labelling_key): each labelling is searched at most once per call.
+        shape = PatternShape.of(dfg)
+        refuted: Set[Hashable] = set()
 
         for ii in range(mii, max_ii + 1):
             if self._total_budget_exhausted(start):
@@ -310,7 +326,7 @@ class MonomorphismMapper:
             attempt_started = time.monotonic()
             with obs_trace.span("ii_attempt", ii=ii):
                 outcome, mapping, message = self._attempt_ii(
-                    dfg, ii, result, start, incremental
+                    dfg, ii, result, start, incremental, shape, refuted
                 )
             obs_hooks.record_ii_attempt(
                 "monomorphism", time.monotonic() - attempt_started
@@ -369,9 +385,16 @@ class MonomorphismMapper:
         ii: int,
         result: MappingResult,
         start: float,
-        incremental: Optional[IncrementalTimeSolver] = None,
+        incremental: Optional[IncrementalTimeSolver],
+        shape: PatternShape,
+        refuted: Set[Hashable],
     ) -> Tuple[_Outcome, Optional[Mapping], str]:
-        """Try one II, extending the schedule horizon on time infeasibility."""
+        """Try one II, extending the schedule horizon on time infeasibility.
+
+        ``shape`` is the DFG's space-search shape and ``refuted`` the
+        labelling keys this ``map()`` call has already refuted; both are
+        shared by every II of the call.
+        """
         space_timed_out = False
         attempted_slacks = set()
         for slack in self.config.slack_candidates():
@@ -419,32 +442,40 @@ class MonomorphismMapper:
 
             while schedule is not None:
                 result.schedules_tried += 1
-                with obs_trace.span("space_phase", ii=ii):
-                    space_result = self.space_solver.solve(
-                        schedule,
-                        timeout_seconds=self._phase_budget(
-                            start, self.config.space_timeout_seconds
-                        ),
-                    )
-                result.space_phase_seconds += space_result.elapsed_seconds
-                perf = self._perf
-                perf.space_calls += 1
-                perf.space_seconds += space_result.elapsed_seconds
-                perf.space_nodes_explored += space_result.stats.nodes_explored
-                perf.space_backtracks += space_result.stats.backtracks
-                if space_result.found:
-                    mapping = Mapping(
-                        dfg=dfg,
-                        cgra=self.cgra,
-                        schedule=schedule,
-                        placement=space_result.placement,
-                    )
-                    if self.config.validate:
-                        assert_valid_mapping(mapping)
-                    return _Outcome.MAPPED, mapping, ""
-                if space_result.timed_out:
-                    space_timed_out = True
-                    break
+                key = labelling_key(schedule, self.config.time_adjacency)
+                if key in refuted:
+                    self._perf.space_reused += 1
+                else:
+                    with obs_trace.span("space_phase", ii=ii):
+                        space_result = self.space_solver.solve(
+                            schedule,
+                            timeout_seconds=self._phase_budget(
+                                start, self.config.space_timeout_seconds
+                            ),
+                            shape=shape,
+                        )
+                    result.space_phase_seconds += space_result.elapsed_seconds
+                    perf = self._perf
+                    perf.space_calls += 1
+                    perf.space_seconds += space_result.elapsed_seconds
+                    perf.space_nodes_explored += space_result.stats.nodes_explored
+                    perf.space_backtracks += space_result.stats.backtracks
+                    if space_result.found:
+                        mapping = Mapping(
+                            dfg=dfg,
+                            cgra=self.cgra,
+                            schedule=schedule,
+                            placement=space_result.placement,
+                        )
+                        if self.config.validate:
+                            assert_valid_mapping(mapping)
+                        return _Outcome.MAPPED, mapping, ""
+                    if space_result.timed_out:
+                        space_timed_out = True
+                        break
+                    # a completed search that found nothing refutes every
+                    # schedule sharing the labelling (see labelling_key)
+                    refuted.add(key)
                 if self._total_budget_exhausted(start):
                     return (
                         _Outcome.TOTAL_TIMEOUT,

@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Optional
+from typing import Dict, Hashable, Iterable, List, Optional, Set
 
 from repro.arch.cgra import CGRA
 from repro.arch.mrrg import MRRG, TimeAdjacency
 from repro.arch.topology import Topology
 from repro.core.config import MapperConfig
 from repro.core.time_solver import Schedule
+from repro.graphs.dfg import DFG
 from repro.matching.monomorphism import (
     MonomorphismSearch,
     PatternGraph,
     SearchStats,
 )
+from repro.matching.ordering import most_constrained_first_order
 
 
 class MRRGTarget:
@@ -34,12 +36,19 @@ class MRRGTarget:
     property, the opcode half restricts candidates to op-compatible MRRG
     vertices on heterogeneous fabrics. On a homogeneous array every PE is
     compatible and the opcode half is inert.
+
+    Adjacency is answered from the CGRA's flat per-PE reach tables
+    (:meth:`~repro.arch.cgra.CGRA.reach_table`), built once per CGRA.
     """
 
     def __init__(self, mrrg: MRRG, pin_first_placement: bool = True) -> None:
         self.mrrg = mrrg
         self.pin_first_placement = pin_first_placement
-        self._homogeneous = mrrg.cgra.is_homogeneous
+        cgra = mrrg.cgra
+        self._homogeneous = cgra.is_homogeneous
+        self._num_pes = cgra.num_pes
+        self._consecutive = mrrg.time_adjacency is TimeAdjacency.CONSECUTIVE
+        self._reach = cgra.reach_table()
 
     @staticmethod
     def _split(label: Hashable):
@@ -77,22 +86,21 @@ class MRRGTarget:
         return self.mrrg.has_edge(a, b)
 
     def neighbors_with_label(self, vertex: int, label: Hashable) -> Iterable[int]:
-        slot, opcode = self._split(label)
-        mrrg = self.mrrg
-        if mrrg.time_adjacency is TimeAdjacency.CONSECUTIVE:
-            diff = (mrrg.slot_of(vertex) - slot) % mrrg.ii
-            if diff not in (0, 1, mrrg.ii - 1):
-                return []
-        base = slot * mrrg.cgra.num_pes
-        pe = mrrg.pe_of(vertex)
-        reachable = mrrg.cgra.neighbors_or_self(pe)
-        if not self._homogeneous and opcode is not None:
-            reachable = reachable & mrrg.cgra.supporting_pes(opcode)
-        return [
-            base + other_pe
-            for other_pe in reachable
-            if base + other_pe != vertex
-        ]
+        if isinstance(label, tuple):
+            slot, opcode = label
+        else:
+            slot, opcode = label, None
+        vertex_slot, pe = divmod(vertex, self._num_pes)
+        if self._consecutive and not self.mrrg.slots_adjacent(vertex_slot, slot):
+            return []
+        if self._homogeneous or opcode is None:
+            reachable = self._reach[pe]
+        else:
+            reachable = self.mrrg.cgra.reach_table(opcode)[pe]
+        base = slot * self._num_pes
+        if vertex_slot == slot:
+            return [base + other for other in reachable if other != pe]
+        return [base + other for other in reachable]
 
 
 @dataclass
@@ -113,20 +121,76 @@ class SpaceResult:
         return self.stats.timed_out
 
 
-def build_pattern(schedule: Schedule) -> PatternGraph:
+@dataclass(frozen=True)
+class PatternShape:
+    """The label-free half of the space problem for one DFG.
+
+    The pattern's vertices, its undirected adjacency and the search order
+    (:func:`~repro.matching.ordering.most_constrained_first_order`) depend
+    on the DFG alone, not on the schedule, so the mapper builds one shape
+    per ``map()`` call and every space search of that call shares it.
+    """
+
+    vertices: List[int]
+    adjacency: Dict[int, Set[int]]
+    order: List[int]
+
+    @classmethod
+    def of(cls, dfg: DFG) -> "PatternShape":
+        unlabelled = PatternGraph.from_edges(
+            dict.fromkeys(dfg.node_ids()), dfg.undirected_edges()
+        )
+        return cls(
+            vertices=unlabelled.vertices,
+            adjacency=unlabelled.adjacency,
+            order=most_constrained_first_order(
+                unlabelled.vertices, unlabelled.adjacency
+            ),
+        )
+
+
+def build_pattern(
+    schedule: Schedule, shape: Optional[PatternShape] = None
+) -> PatternGraph:
     """The labelled undirected DFG the monomorphism search runs on.
 
     Each node is labelled ``(kernel slot, opcode)``: the slot drives the
     paper's label-preservation property, the opcode lets
     :class:`MRRGTarget` restrict candidates to op-compatible PEs on
-    heterogeneous fabrics.
+    heterogeneous fabrics. ``shape`` (built from ``schedule.dfg`` when
+    omitted) supplies the vertices and adjacency.
     """
+    if shape is None:
+        shape = PatternShape.of(schedule.dfg)
+    dfg = schedule.dfg
     labels = {
-        node_id: (schedule.slot(node_id), schedule.dfg.node(node_id).opcode)
+        node_id: (schedule.slot(node_id), dfg.node(node_id).opcode)
         for node_id in schedule.start_times
     }
-    edges = schedule.dfg.undirected_edges()
-    return PatternGraph.from_edges(labels, edges)
+    return PatternGraph(
+        vertices=shape.vertices, labels=labels, adjacency=shape.adjacency
+    )
+
+
+def labelling_key(schedule: Schedule, time_adjacency: TimeAdjacency) -> Hashable:
+    """Everything about ``schedule`` that decides whether it can be placed.
+
+    For a fixed DFG and CGRA the space problem is fixed by the pattern's
+    labels ``(slot, opcode)`` and the MRRG of the II. Opcodes are fixed
+    per node, so the slots of the nodes, in node-id order, are the key.
+
+    Under ``TimeAdjacency.ALL_PAIRS`` every slot is adjacent to every
+    other, so the MRRG looks the same from each slot and any renaming of
+    the slots gives the same problem, at any II: the key renumbers the
+    slots by first appearance. Under ``CONSECUTIVE`` adjacency depends on
+    the cyclic distance between slots, so the key is the exact labelling
+    plus the II.
+    """
+    slots = [schedule.slot(node_id) for node_id in sorted(schedule.start_times)]
+    if time_adjacency is TimeAdjacency.CONSECUTIVE:
+        return (schedule.ii, tuple(slots))
+    renumbered: Dict[int, int] = {}
+    return tuple(renumbered.setdefault(slot, len(renumbered)) for slot in slots)
 
 
 class SpaceSolver:
@@ -143,18 +207,27 @@ class SpaceSolver:
         self,
         schedule: Schedule,
         timeout_seconds: Optional[float] = None,
+        shape: Optional[PatternShape] = None,
     ) -> SpaceResult:
-        """Attempt to place ``schedule``; never raises on plain failure."""
+        """Attempt to place ``schedule``; never raises on plain failure.
+
+        ``shape`` is the DFG's :class:`PatternShape`; callers placing many
+        schedules of one DFG pass it in so it is built once.
+        """
         budget = (
             timeout_seconds
             if timeout_seconds is not None
             else self.config.space_timeout_seconds
         )
         start = time.monotonic()
+        if shape is None:
+            shape = PatternShape.of(schedule.dfg)
         mrrg = self.build_mrrg(schedule.ii)
         target = MRRGTarget(mrrg, pin_first_placement=self.config.pin_first_placement)
-        pattern = build_pattern(schedule)
-        search = MonomorphismSearch(pattern, target, timeout_seconds=budget)
+        pattern = build_pattern(schedule, shape)
+        search = MonomorphismSearch(
+            pattern, target, timeout_seconds=budget, order=shape.order
+        )
         outcome = search.search()
         elapsed = time.monotonic() - start
         if outcome.mapping is None:

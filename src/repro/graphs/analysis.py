@@ -9,22 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
 from repro.graphs.dfg import DFG, DependenceKind
 
 
-def _topological_order(dfg: DFG) -> List[int]:
-    """Topological order of the data-dependence DAG."""
-    dag = dfg.data_dag()
-    return list(nx.topological_sort(dag))
-
-
-def asap_schedule(dfg: DFG) -> Dict[int, int]:
-    """As-soon-as-possible start time of every node (data edges only)."""
-    order = _topological_order(dfg)
+def _asap(dfg: DFG, order: List[int]) -> Dict[int, int]:
     asap: Dict[int, int] = {}
     for node_id in order:
         earliest = 0
@@ -36,26 +28,11 @@ def asap_schedule(dfg: DFG) -> Dict[int, int]:
     return asap
 
 
-def critical_path_length(dfg: DFG) -> int:
-    """Length (in cycles) of the longest data-dependence chain."""
-    asap = asap_schedule(dfg)
+def _length(dfg: DFG, asap: Dict[int, int]) -> int:
     return max(asap[n] + dfg.node(n).latency for n in dfg.node_ids())
 
 
-def alap_schedule(dfg: DFG, horizon: Optional[int] = None) -> Dict[int, int]:
-    """As-late-as-possible start times for a schedule of length ``horizon``.
-
-    ``horizon`` defaults to the critical path length, which is the tightest
-    feasible schedule length and reproduces the paper's Table I.
-    """
-    length = critical_path_length(dfg)
-    if horizon is None:
-        horizon = length
-    if horizon < length:
-        raise ValueError(
-            f"horizon {horizon} is shorter than the critical path ({length})"
-        )
-    order = _topological_order(dfg)
+def _alap(dfg: DFG, order: List[int], horizon: int) -> Dict[int, int]:
     alap: Dict[int, int] = {}
     for node_id in reversed(order):
         node_latency = dfg.node(node_id).latency
@@ -66,6 +43,33 @@ def alap_schedule(dfg: DFG, horizon: Optional[int] = None) -> Dict[int, int]:
             latest = min(latest, alap[edge.dst] - node_latency)
         alap[node_id] = latest
     return alap
+
+
+def asap_schedule(dfg: DFG) -> Dict[int, int]:
+    """As-soon-as-possible start time of every node (data edges only)."""
+    return _asap(dfg, dfg.topological_order())
+
+
+def critical_path_length(dfg: DFG) -> int:
+    """Length (in cycles) of the longest data-dependence chain."""
+    return _length(dfg, asap_schedule(dfg))
+
+
+def alap_schedule(dfg: DFG, horizon: Optional[int] = None) -> Dict[int, int]:
+    """As-late-as-possible start times for a schedule of length ``horizon``.
+
+    ``horizon`` defaults to the critical path length, which is the tightest
+    feasible schedule length and reproduces the paper's Table I.
+    """
+    order = dfg.topological_order()
+    length = _length(dfg, _asap(dfg, order))
+    if horizon is None:
+        horizon = length
+    if horizon < length:
+        raise ValueError(
+            f"horizon {horizon} is shorter than the critical path ({length})"
+        )
+    return _alap(dfg, order, horizon)
 
 
 @dataclass
@@ -86,9 +90,10 @@ class MobilitySchedule:
         """Build the MobS, optionally extending the horizon by ``slack``."""
         if slack < 0:
             raise ValueError("slack must be non-negative")
-        asap = asap_schedule(dfg)
-        length = critical_path_length(dfg) + slack
-        alap = alap_schedule(dfg, horizon=length)
+        order = dfg.topological_order()
+        asap = _asap(dfg, order)
+        length = _length(dfg, asap) + slack
+        alap = _alap(dfg, order, length)
         return cls(dfg=dfg, asap=asap, alap=alap, length=length)
 
     def earliest(self, node_id: int) -> int:
@@ -152,30 +157,47 @@ def res_ii(dfg: DFG, num_pes: int) -> int:
     return math.ceil(dfg.num_nodes / num_pes)
 
 
-def _has_positive_cycle(dfg: DFG, ii: int) -> bool:
+def _dependence_arcs(dfg: DFG) -> List[Tuple[int, int, int, int]]:
+    """``(src, dst, latency(src), distance)`` per dependent node pair.
+
+    Nodes are renumbered ``0..n-1``. Parallel edges collapse onto the one
+    with the smallest distance: its weight ``lat(src) - ii*distance`` is the
+    largest of the pair at every ``ii >= 1``, i.e. the most constraining.
+    """
+    index = {node_id: i for i, node_id in enumerate(dfg.node_ids())}
+    arcs: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for edge in dfg.edges():
+        pair = (index[edge.src], index[edge.dst])
+        if pair not in arcs or edge.distance < arcs[pair][1]:
+            arcs[pair] = (dfg.node(edge.src).latency, edge.distance)
+    return [(src, dst, latency, distance)
+            for (src, dst), (latency, distance) in arcs.items()]
+
+
+def _has_positive_cycle(
+    arcs: List[Tuple[int, int, int, int]], num_nodes: int, ii: int
+) -> bool:
     """True if some dependence cycle needs more than ``ii`` cycles per turn.
 
     Edge ``u -> v`` with distance ``d`` contributes weight ``lat(u) - ii*d``;
     a cycle of positive total weight means the recurrence cannot complete
-    within ``ii`` cycles per iteration.
+    within ``ii`` cycles per iteration. Bellman-Ford on longest paths from a
+    virtual source joined to every node: without a positive cycle the
+    distances settle within ``num_nodes`` passes.
     """
-    graph = nx.DiGraph()
-    for node in dfg.nodes():
-        graph.add_node(node.id)
-    for edge in dfg.edges():
-        weight = dfg.node(edge.src).latency - ii * edge.distance
-        # keep the most constraining (largest) weight between a node pair
-        if graph.has_edge(edge.src, edge.dst):
-            if weight > graph[edge.src][edge.dst]["weight"]:
-                graph[edge.src][edge.dst]["weight"] = weight
-        else:
-            graph.add_edge(edge.src, edge.dst, weight=weight)
-    # A positive cycle under `weight` is a negative cycle under `-weight`.
-    negated = nx.DiGraph()
-    negated.add_nodes_from(graph.nodes())
-    for u, v, data in graph.edges(data=True):
-        negated.add_edge(u, v, weight=-data["weight"])
-    return nx.negative_edge_cycle(negated, weight="weight")
+    weighted = [(src, dst, latency - ii * distance)
+                for src, dst, latency, distance in arcs]
+    dist = [0] * num_nodes
+    for _ in range(num_nodes):
+        changed = False
+        for src, dst, weight in weighted:
+            reach = dist[src] + weight
+            if reach > dist[dst]:
+                dist[dst] = reach
+                changed = True
+        if not changed:
+            return False
+    return True
 
 
 def rec_ii(dfg: DFG) -> int:
@@ -188,12 +210,14 @@ def rec_ii(dfg: DFG) -> int:
     """
     if not dfg.loop_carried_edges():
         return 1
+    arcs = _dependence_arcs(dfg)
+    num_nodes = dfg.num_nodes
     lo, hi = 1, max(1, sum(node.latency for node in dfg.nodes()))
-    if _has_positive_cycle(dfg, hi):
+    if _has_positive_cycle(arcs, num_nodes, hi):
         raise ValueError("dependence graph has a cycle with zero total distance")
     while lo < hi:
         mid = (lo + hi) // 2
-        if _has_positive_cycle(dfg, mid):
+        if _has_positive_cycle(arcs, num_nodes, mid):
             lo = mid + 1
         else:
             hi = mid

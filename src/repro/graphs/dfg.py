@@ -232,6 +232,27 @@ class DFG:
         neighbors.discard(node_id)
         return neighbors
 
+    def topological_order(self) -> List[int]:
+        """Node ids in a topological order of the data (distance-0) edges.
+
+        Kahn's algorithm over the DFG's own successor lists, sources in id
+        order. Raises ``ValueError`` if the data subgraph has a cycle.
+        """
+        indegree = dict.fromkeys(sorted(self._nodes), 0)
+        for edge in self._edges:
+            if edge.kind is DependenceKind.DATA:
+                indegree[edge.dst] += 1
+        order = [node_id for node_id, count in indegree.items() if count == 0]
+        for node_id in order:  # the list grows as nodes become ready
+            for edge in self._succ[node_id]:
+                if edge.kind is DependenceKind.DATA:
+                    indegree[edge.dst] -= 1
+                    if indegree[edge.dst] == 0:
+                        order.append(edge.dst)
+        if len(order) != len(indegree):
+            raise ValueError("data-dependence subgraph has a cycle")
+        return order
+
     def data_dag(self) -> nx.DiGraph:
         """The distance-0 subgraph as a networkx DAG."""
         graph = nx.DiGraph()
@@ -271,10 +292,13 @@ class DFG:
         """Check structural invariants; raise ``ValueError`` on violation."""
         if not self._nodes:
             raise ValueError("DFG has no nodes")
-        dag = self.data_dag()
-        if not nx.is_directed_acyclic_graph(dag):
-            cycle = nx.find_cycle(dag)
-            raise ValueError(f"data-dependence subgraph has a cycle: {cycle}")
+        try:
+            self.topological_order()
+        except ValueError:
+            cycle = nx.find_cycle(self.data_dag())
+            raise ValueError(
+                f"data-dependence subgraph has a cycle: {cycle}"
+            ) from None
         for node in self.nodes():
             expected = opcode_arity(node.opcode)
             provided = len(self._pred[node.id])

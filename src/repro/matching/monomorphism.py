@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Protocol, Sequence, Set
+from typing import (
+    Dict, Hashable, Iterable, List, Optional, Protocol, Sequence, Set, Tuple,
+)
 
 from repro.matching.ordering import most_constrained_first_order
 
@@ -182,34 +184,32 @@ class MonomorphismSearch:
         deadline = start + self.timeout_seconds if self.timeout_seconds else None
         mapping: Dict[int, int] = {}
         used: Set[int] = set()
+        target = self.target
+        labels = self.pattern.labels
+        plan = self._plan()
 
         def candidates_for(vertex: int, depth: int) -> List[int]:
-            label = self.pattern.labels[vertex]
-            mapped_neighbors = [
-                u for u in self.pattern.adjacency[vertex] if u in mapping
-            ]
-            if not mapped_neighbors:
+            label = labels[vertex]
+            anchor, others = plan[depth]
+            if anchor is None:
                 if depth == 0 and self.use_seed_candidates:
-                    pool = self.target.seed_candidates(label)
+                    pool = target.seed_candidates(label)
                 else:
-                    pool = self.target.candidates(label)
+                    pool = target.candidates(label)
                 return [c for c in pool if c not in used]
             # start from the neighbourhood of the most recently mapped
             # pattern neighbour and filter by the remaining ones
-            anchor = mapped_neighbors[-1]
-            pool = self.target.neighbors_with_label(mapping[anchor], label)
+            pool = target.neighbors_with_label(mapping[anchor], label)
+            images = [mapping[other] for other in others]
+            are_adjacent = target.are_adjacent
             result = []
             for candidate in pool:
                 if candidate in used:
                     continue
-                ok = True
-                for other in mapped_neighbors:
-                    if other is anchor:
-                        continue
-                    if not self.target.are_adjacent(mapping[other], candidate):
-                        ok = False
+                for image in images:
+                    if not are_adjacent(image, candidate):
                         break
-                if ok:
+                else:
                     result.append(candidate)
             return result
 
@@ -237,6 +237,25 @@ class MonomorphismSearch:
         found = extend(0)
         stats.elapsed_seconds = time.monotonic() - start
         return SearchOutcome(mapping=dict(mapping) if found else None, stats=stats)
+
+    def _plan(self) -> List[Tuple[Optional[int], Tuple[int, ...]]]:
+        """Per depth: the anchor and the other already-mapped neighbours.
+
+        The order is static, so the vertex at depth ``d`` always finds
+        exactly ``order[:d]`` mapped; its mapped neighbours are fixed
+        before the search starts. The anchor is the last of them in the
+        adjacency set's iteration order, the rest are filtered against.
+        """
+        position = {vertex: depth for depth, vertex in enumerate(self.order)}
+        plan: List[Tuple[Optional[int], Tuple[int, ...]]] = []
+        for depth, vertex in enumerate(self.order):
+            mapped = [u for u in self.pattern.adjacency[vertex]
+                      if position[u] < depth]
+            if not mapped:
+                plan.append((None, ()))
+            else:
+                plan.append((mapped[-1], tuple(mapped[:-1])))
+        return plan
 
     # ------------------------------------------------------------------ #
     def verify(self, mapping: Dict[int, int]) -> List[str]:

@@ -29,33 +29,42 @@ def most_constrained_first_order(
     total degree. Disconnected components are started again from their
     highest-degree vertex.
     """
+    # Incremental bookkeeping, equal to recomputing every key at each step:
+    # ``touching[v]`` = |N(v) & ordered| and ``frontier[v]`` = number of
+    # unordered neighbours of v that touch the ordered set.
     remaining: Set[int] = set(vertices)
+    empty: Set[int] = set()
+    touching: Dict[int, int] = dict.fromkeys(remaining, 0)
+    frontier: Dict[int, int] = dict.fromkeys(remaining, 0)
     order: List[int] = []
-    ordered: Set[int] = set()
+
     while remaining:
-        if not order or all(
-            not (adjacency.get(v, set()) & ordered) for v in remaining
-        ):
-            seed = max(remaining, key=lambda v: (len(adjacency.get(v, ())), -v))
-            order.append(seed)
-            ordered.add(seed)
-            remaining.discard(seed)
-            continue
         best = None
         best_key = None
         for v in remaining:
-            neighbors = adjacency.get(v, set())
-            in_ordered = len(neighbors & ordered)
-            if in_ordered == 0:
+            if touching[v] == 0:
                 continue
-            frontier = sum(
-                1 for u in neighbors - ordered if adjacency.get(u, set()) & ordered
-            )
-            key = (in_ordered, frontier, len(neighbors), -v)
+            key = (touching[v], frontier[v], len(adjacency.get(v, empty)), -v)
             if best_key is None or key > best_key:
                 best_key = key
                 best = v
+        if best is None:
+            # first vertex, or a new connected component
+            best = max(remaining, key=lambda v: (len(adjacency.get(v, ())), -v))
         order.append(best)
-        ordered.add(best)
         remaining.discard(best)
+        neighbors = adjacency.get(best, empty)
+        if touching[best]:
+            # no longer an unordered neighbour of anyone
+            for u in neighbors:
+                if u in frontier:
+                    frontier[u] -= 1
+        for u in neighbors:
+            if u not in touching:
+                continue
+            touching[u] += 1
+            if touching[u] == 1 and u in remaining:
+                for x in adjacency.get(u, empty):
+                    if x in frontier:
+                        frontier[x] += 1
     return order

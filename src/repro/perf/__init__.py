@@ -61,7 +61,8 @@ class PerfCounters:
     reductions: int = 0        # reduce-DB passes
 
     # -- space phase ----------------------------------------------------- #
-    space_calls: int = 0
+    space_calls: int = 0      # searches that ran
+    space_reused: int = 0     # refutations answered without a search
     space_nodes_explored: int = 0
     space_backtracks: int = 0
 
@@ -95,6 +96,7 @@ class PerfCounters:
             },
             "space": {
                 "calls": self.space_calls,
+                "reused": self.space_reused,
                 "nodes_explored": self.space_nodes_explored,
                 "backtracks": self.space_backtracks,
             },

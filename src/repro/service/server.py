@@ -35,6 +35,9 @@ on submissions).
 from __future__ import annotations
 
 import json
+import selectors
+import socket
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
@@ -326,6 +329,63 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.close_connection = True
 
 
+class ServiceHTTPServer(ThreadingHTTPServer):
+    """A threaded HTTP server whose :meth:`shutdown` takes effect at once.
+
+    The stdlib serving loop only notices ``shutdown()`` when its
+    ``select()`` times out, every ``poll_interval`` (0.5 s by default).
+    Here the loop also watches one end of a socket pair, and
+    ``shutdown()`` writes to the other end to wake it.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._wake_reader, self._wake_writer = socket.socketpair()
+        self._wake_reader.setblocking(False)
+        self._stop_requested = False
+        self._stopped = threading.Event()
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        self._stopped.clear()
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_reader, selectors.EVENT_READ)
+                while not self._stop_requested:
+                    ready = selector.select(poll_interval)
+                    if self._stop_requested:
+                        break
+                    for key, _events in ready:
+                        if key.fileobj is self:
+                            self._handle_request_noblock()
+                        else:
+                            self._drain_wakeups()
+                    self.service_actions()
+        finally:
+            self._stop_requested = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned."""
+        self._stop_requested = True
+        self._wake_writer.send(b"\0")
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_reader.close()
+        self._wake_writer.close()
+
+    def _drain_wakeups(self) -> None:
+        try:
+            while self._wake_reader.recv(64):
+                pass
+        except BlockingIOError:
+            pass
+
+
 def create_server(
     service: MappingService,
     host: str = "127.0.0.1",
@@ -338,8 +398,7 @@ def create_server(
     ``server.shutdown()`` for the HTTP side, ``service.shutdown()`` for
     the worker pool. Tests run ``serve_forever`` on a daemon thread.
     """
-    server = ThreadingHTTPServer((host, port), ServiceHandler)
-    server.daemon_threads = True
+    server = ServiceHTTPServer((host, port), ServiceHandler)
     server.service = service  # type: ignore[attr-defined]
     server.quiet = quiet  # type: ignore[attr-defined]
     return server

@@ -56,6 +56,40 @@ class TestOrdering:
         assert sorted(order) == [0, 1, 2, 3, 4]
 
 
+def _greatest_constrained_first(vertices, adjacency):
+    """The ordering rule restated directly: every key recomputed per step."""
+    remaining, order, ordered = set(vertices), [], set()
+    while remaining:
+        touching = [v for v in remaining if adjacency[v] & ordered]
+        if not touching:
+            best = max(remaining, key=lambda v: (len(adjacency[v]), -v))
+        else:
+            best = max(touching, key=lambda v: (
+                len(adjacency[v] & ordered),
+                sum(1 for u in adjacency[v] - ordered if adjacency[u] & ordered),
+                len(adjacency[v]),
+                -v,
+            ))
+        order.append(best)
+        ordered.add(best)
+        remaining.discard(best)
+    return order
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_most_constrained_first_matches_its_rule(seed):
+    rng = random.Random(seed)
+    vertices = rng.sample(range(60), rng.randint(1, 25))
+    adjacency = {v: set() for v in vertices}
+    for _ in range(rng.randint(0, 3 * len(vertices))):
+        a, b = rng.choice(vertices), rng.choice(vertices)
+        if a != b:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    assert most_constrained_first_order(vertices, adjacency) == \
+        _greatest_constrained_first(vertices, adjacency)
+
+
 class TestExplicitSearch:
     def test_finds_triangle_in_labelled_square_with_diagonal(self):
         target = ExplicitTargetGraph(
