@@ -63,8 +63,8 @@ SPEEDUP_THRESHOLD = 1.5
 #: target end-to-end speedup of the native C tier over the arena kernel
 #: (the assertion floor is 1.0x with C, NATIVE_FALLBACK_FLOOR otherwise)
 NATIVE_TARGET_SPEEDUP = 1.5
-#: noise allowance when only a fallback tier (numpy/arena) is available:
-#: the executed code is then nearly identical to the arena leg
+#: noise allowance when the C tier is unavailable and "native" falls back
+#: to arena: both legs then execute the same code
 NATIVE_FALLBACK_FLOOR = 0.8
 #: best-of runs per leg (absorbs scheduler noise without hiding regressions)
 RUNS = 2

@@ -77,9 +77,8 @@ from repro.workloads.suite import benchmark_names, load_benchmark, spec
 #: --solver-backend choice surface (map / profile / sweep share it)
 SOLVER_BACKENDS = (
     ("arena", "pure-Python flat-arena CDCL kernel (default)"),
-    ("native", "fastest available compiled tier: C, numpy or arena"),
+    ("native", "fastest available compiled tier: C, else arena"),
     ("native-c", "force the cffi-compiled C kernel (errors if unbuildable)"),
-    ("numpy", "force the numpy-vectorized tier"),
     ("reference", "pre-rewrite kernel (differential-testing oracle)"),
 )
 SOLVER_BACKEND_CHOICES = [name for name, _ in SOLVER_BACKENDS]

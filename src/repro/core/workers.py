@@ -1,8 +1,8 @@
 """Worker-process lifecycle helpers shared by the parallel runners.
 
-The portfolio racer and the sweep batch runner both hand work to daemon
+The sweep batch runner and the service's process pool both hand work to
 subprocesses and must eventually take them down -- on completion, on a
-hard deadline, or when another engine short-circuits the race. A plain
+hard deadline, or when a worker stalls or its job is cancelled. A plain
 ``terminate(); join(timeout)`` is not enough: a worker stuck in a C-level
 loop (exactly what the native solver backend makes possible) ignores
 SIGTERM until it next returns to the interpreter, the join times out and

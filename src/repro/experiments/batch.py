@@ -56,7 +56,7 @@ ERROR_STATUS = "error"
 
 #: solver backends whose results are bit-identical to the arena kernel
 #: (the native tier family); they share the arena cache key
-ARENA_IDENTICAL_BACKENDS = frozenset({"native", "native-c", "numpy"})
+ARENA_IDENTICAL_BACKENDS = frozenset({"native", "native-c"})
 
 
 @dataclass(frozen=True)

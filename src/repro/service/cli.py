@@ -63,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     start.add_argument("--execution", choices=("process", "thread"),
                        default="process",
                        help="run jobs in crash-isolated worker processes "
-                            "with supervised restarts, or in the legacy "
-                            "in-thread pool (default: %(default)s)")
+                            "with supervised restarts, or on the service "
+                            "threads themselves (default: %(default)s)")
     start.add_argument("--max-retries", type=int, default=2,
                        help="times a job whose worker crashed or stalled "
                             "is requeued before failing "

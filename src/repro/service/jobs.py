@@ -32,10 +32,12 @@ exit, stalled heartbeat) is restarted and the job requeued with a
 bounded retry budget and exponential backoff, the crash attributed in
 the job's event stream (``worker_crashed``/``retrying``), counters and
 the run log. A native-tier solver that crashes the worker repeatedly on
-one job is demoted ``native -> numpy -> arena`` before giving up; if
-worker processes cannot be started at all the service *degrades* to the
-legacy in-thread path (``execution="thread"``) and says so in
-``/healthz``. Draining (:meth:`MappingService.drain`) rejects new
+one job is demoted ``native -> arena`` before giving up; if worker
+processes cannot be started at all the service *degrades* to running
+jobs on its worker threads (as ``execution="thread"`` does) and says so
+in ``/healthz``. Both paths run the same job body, :func:`run_request`:
+fabric-cache lookup, the ``started`` event, engine construction, the
+timed ``map()`` and the result record. Draining (:meth:`MappingService.drain`) rejects new
 submissions with :class:`ServiceUnavailable`, finishes in-flight work,
 and checkpoints still-queued payloads to a journal next to the store
 that :meth:`MappingService.recover_journal` resubmits on restart.
@@ -44,12 +46,13 @@ that :meth:`MappingService.recover_journal` resubmits on restart.
 from __future__ import annotations
 
 import json
+import math
 import os
 import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.arch.cgra import CGRA
 from repro.arch.spec import ArchSpec, preset_names, resolve_arch
@@ -70,6 +73,9 @@ JOB_FAILED = "failed"
 JOB_CANCELLED = "cancelled"
 JOB_JOURNALED = "journaled"  # checkpointed by a drain; resubmitted on restart
 TERMINAL_STATUSES = (JOB_DONE, JOB_FAILED, JOB_CANCELLED, JOB_JOURNALED)
+#: the service counter each non-``done`` terminal status bumps
+STATUS_COUNTERS = {JOB_FAILED: "failed", JOB_CANCELLED: "cancelled",
+                   JOB_JOURNALED: "journaled"}
 
 #: result statuses worth persisting: deterministic facts about the
 #: configuration. Timeouts are *not* cached -- they describe the budget
@@ -77,8 +83,7 @@ TERMINAL_STATUSES = (JOB_DONE, JOB_FAILED, JOB_CANCELLED, JOB_JOURNALED)
 CACHEABLE_STATUSES = ("success", "no_solution", "infeasible")
 
 #: solver backends a request may name (mirrors ``repro-map``'s choices)
-SOLVER_BACKEND_CHOICES = ("arena", "native", "native-c", "numpy",
-                          "reference")
+SOLVER_BACKEND_CHOICES = ("arena", "native", "native-c", "reference")
 
 #: supervised-retry policy: a crashed/stalled attempt is requeued at most
 #: this many times (hard_timeout is never retried -- a second full budget
@@ -88,11 +93,10 @@ RETRY_BACKOFF_BASE_SECONDS = 0.25
 RETRY_BACKOFF_CAP_SECONDS = 5.0
 
 #: graceful degradation: after this many crashes of one job on a native
-#: solver tier, retry one tier down (native -> numpy -> arena); the
-#: ladder only holds arena-identical tiers, so the store key is unchanged
+#: solver tier, retry one tier down (native -> arena); the ladder only
+#: holds arena-identical tiers, so the store key is unchanged
 DEMOTE_AFTER_CRASHES = 2
-DEMOTION_LADDER = {"native": "numpy", "native-c": "numpy",
-                   "numpy": "arena"}
+DEMOTION_LADDER = {"native": "arena", "native-c": "arena"}
 
 #: slack on top of a job's budget before the supervisor declares the
 #: engine's own budget enforcement failed and puts the worker down
@@ -113,6 +117,11 @@ class ServiceUnavailable(RuntimeError):
 
 class _JobCancelled(Exception):
     """Raised inside the engine callback to abort a cancelled job."""
+
+
+def _is_int(value: object) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -253,7 +262,7 @@ class MapRequest:
             solver_backend = None  # one configuration, one key (cf. BatchCase)
 
         seed = payload.get("seed")
-        if seed is not None and not isinstance(seed, int):
+        if seed is not None and not _is_int(seed):
             raise RequestError("'seed' must be an integer")
         if approach in ("heuristic", "portfolio"):
             from repro.heuristic.engine import resolve_seed
@@ -267,12 +276,15 @@ class MapRequest:
                                        default_budget_seconds))
         except (TypeError, ValueError) as exc:
             raise RequestError("'budget_seconds' must be a number") from exc
-        if budget <= 0:
-            raise RequestError("'budget_seconds' must be positive")
+        # NaN passes "<= 0" and survives min(): an engine would map with
+        # no deadline and the supervisor's hard deadline would never fire
+        if not math.isfinite(budget) or budget <= 0:
+            raise RequestError(
+                "'budget_seconds' must be a positive finite number")
         budget = min(budget, max_budget_seconds)
 
         priority = payload.get("priority", 0)
-        if not isinstance(priority, int):
+        if not _is_int(priority):
             raise RequestError("'priority' must be an integer")
 
         strategy = str(payload.get("strategy", "ascend"))
@@ -462,6 +474,80 @@ def result_record(result, engine_seconds: float,
     }
 
 
+def run_request(
+    request: MapRequest,
+    fabric_cache: Dict[str, CGRA],
+    emit: Callable[[Dict[str, object]], None],
+    *,
+    solver_backend: Optional[str],
+    seed: Optional[int],
+    budget_seconds: float,
+    profile: bool,
+    started: Dict[str, object],
+    checkpoint: Callable[[str], None] = lambda phase: None,
+) -> Dict[str, object]:
+    """The one job body: the worker child and the degraded in-thread
+    fallback both run a request through here.
+
+    Looks the fabric up in the caller's warm cache (building it on a
+    miss), emits the ``started`` event (``started``'s fields plus the pid
+    and ``warm_fabric``), builds the engine, times ``map()`` and returns
+    the flattened record. Engine events go to ``emit`` as they happen;
+    the record's improvement list is left empty for the caller, which
+    attaches its own timestamped copies. ``checkpoint`` is called with
+    ``"engine"`` before the engine is built and ``"result"`` after
+    ``map()`` returns -- the child's fault-injection points.
+    """
+    fabric_key = content_key(request.fabric_record())
+    cgra = fabric_cache.get(fabric_key)
+    warm = cgra is not None
+    if not warm:
+        cgra = request.build_cgra()
+        fabric_cache[fabric_key] = cgra
+    emit({"event": "started", **started, "pid": os.getpid(),
+          "warm_fabric": warm})
+    checkpoint("engine")
+    engine = create_engine(
+        request.approach,
+        cgra,
+        timeout_seconds=budget_seconds,
+        budget_seconds=budget_seconds,
+        seed=seed,
+        opt_level=request.opt_level,
+        opt_passes=request.opt_passes,
+        solver_backend=solver_backend or "arena",
+        strategy=request.strategy,
+        on_event=emit,
+        # tracing wants the detailed per-phase solver clocks: they
+        # become the synthesized solver-tier child spans
+        profile=profile,
+    )
+    engine_start = time.monotonic()
+    result = engine.map(request.dfg)
+    engine_seconds = time.monotonic() - engine_start
+    checkpoint("result")
+    return result_record(result, engine_seconds, [])
+
+
+def _read_journal(path: str) -> List[Dict[str, object]]:
+    """A drain journal's entries, skipping blank and unparsable lines."""
+    entries: List[Dict[str, object]] = []
+    if not os.path.exists(path):
+        return entries
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                entry = json.loads(line)
+            except ValueError:
+                continue
+            if isinstance(entry, dict):
+                entries.append(entry)
+    return entries
+
+
 class MappingService:
     """The compile service: store-first answers, then the worker pool.
 
@@ -602,6 +688,9 @@ class MappingService:
             final_event["status"] = result.get("status")
         if error is not None:
             final_event["error"] = error
+        if status in STATUS_COUNTERS:
+            with self._lock:
+                self.counters[STATUS_COUNTERS[status]] += 1
         with job.cond:
             job.status = status
             job.result = result
@@ -715,10 +804,6 @@ class MappingService:
         job = self.get(job_id)
         with job.cond:
             job.cancel_requested = True
-        if job.status == JOB_QUEUED:
-            # the worker loop observes the flag when it pops the job;
-            # nothing else to do -- the job is not running anywhere
-            pass
         return job
 
     # ------------------------------------------------------------------ #
@@ -746,8 +831,6 @@ class MappingService:
             metrics.set_gauge("repro_service_queue_depth",
                               self._queue.qsize())
             if job.cancel_requested:
-                with self._lock:
-                    self.counters["cancelled"] += 1
                 self._finish(job, JOB_CANCELLED)
                 continue
             if job.terminal:
@@ -784,22 +867,53 @@ class MappingService:
         # the label/trace-id frame is pushed even when span recording is
         # off: run-log records written anywhere under this job (engine
         # hooks, store warnings -- including the in-thread degraded
-        # path, whose records used to lack any job correlation) pick up
-        # the job id and trace id from the thread's context
+        # path) pick up the job id and trace id from the thread's context
         obs_trace.push_trace(job.id, job.trace_id)
         try:
             with obs_trace.span("worker.run", job=job.id,
                                 worker=worker_index) as run_span:
+                with job.cond:
+                    job.status = JOB_RUNNING
+                    job.started = self._now()
+                # the time between submission and pickup, as a sibling
+                # span that ends exactly where worker.run begins
+                wait = max(job.started - job.created, 0.0)
+                obs_trace.add_complete("queue.wait",
+                                       time.monotonic() - wait, wait,
+                                       parent=0, job=job.id)
                 if worker is not None:
                     self._run_job_process(
                         job, worker_index, worker, fabric_cache,
                         parent_span_id=getattr(run_span, "span_id", 0))
                 else:
-                    self._run_job_impl(job, worker_index, fabric_cache)
+                    self._run_job_in_thread(job, worker_index, fabric_cache)
         finally:
             obs_trace.pop_trace()
             if tracing:
                 self._export_trace(job)
+
+    def _job_event(self, job: Job, payload: Dict[str, object]) -> None:
+        """Record one event of the job body; counts warm-fabric starts."""
+        if payload.get("event") == "started" and payload.get("warm_fabric"):
+            with self._lock:
+                self.counters["fabric_cache_hits"] += 1
+            metrics.inc("repro_service_fabric_cache_hits_total")
+        self._append_event(job, payload)
+
+    def _complete(self, job: Job, record: Dict[str, object]) -> None:
+        """Store and finish a job whose engine ran to a result."""
+        with self._lock:
+            self.counters["engine_runs"] += 1
+        # only the surviving attempt's improvements belong to the result
+        # (a crashed attempt may have streamed a few first)
+        starts = [i for i, e in enumerate(job.events)
+                  if e.get("event") == "started"]
+        tail = job.events[starts[-1]:] if starts else job.events
+        record = dict(record, events=[
+            dict(e) for e in tail if e.get("event") == "improvement"])
+        if record["status"] in CACHEABLE_STATUSES:
+            self._store_put(job.key, job.request, record)
+        self._finish(job, JOB_DONE, result=record)
 
     # ------------------------------------------------------------------ #
     # Process execution: supervision, retries, demotion, degradation
@@ -832,8 +946,6 @@ class MappingService:
         if crash.reason == "hard_timeout":
             # the engine's own budget enforcement failed; a retry would
             # burn another full budget the same way
-            with self._lock:
-                self.counters["failed"] += 1
             self._finish(job, JOB_FAILED,
                          error=f"worker exceeded hard deadline: "
                                f"{crash.detail}")
@@ -851,8 +963,6 @@ class MappingService:
             logjson.log("backend_demoted", job=job.id,
                         from_backend=backend, to_backend=demoted)
         if job.attempts > self.max_retries:
-            with self._lock:
-                self.counters["failed"] += 1
             self._finish(job, JOB_FAILED,
                          error=f"worker crashed ({crash.reason}) on all "
                                f"{job.attempts} attempt(s)")
@@ -866,8 +976,6 @@ class MappingService:
                                  "attempt": job.attempts,
                                  "backoff_seconds": round(backoff, 3)})
         if self._stop.wait(timeout=backoff):
-            with self._lock:
-                self.counters["failed"] += 1
             self._finish(job, JOB_FAILED,
                          error="service stopped during retry backoff")
             return False
@@ -879,22 +987,7 @@ class MappingService:
                          parent_span_id: int = 0) -> None:
         """Run ``job`` in the supervised worker process, with retries."""
         request = job.request
-        with job.cond:
-            job.status = JOB_RUNNING
-            job.started = self._now()
-        wait = max(job.started - job.created, 0.0)
-        obs_trace.add_complete("queue.wait", time.monotonic() - wait, wait,
-                               parent=0, job=job.id)
         traced = self.trace_dir is not None
-
-        def on_event(payload: Dict[str, object]) -> None:
-            if payload.get("event") == "started" \
-                    and payload.get("warm_fabric"):
-                with self._lock:
-                    self.counters["fabric_cache_hits"] += 1
-                metrics.inc("repro_service_fabric_cache_hits_total")
-            self._append_event(job, payload)
-
         while True:
             try:
                 state = worker.ensure()
@@ -904,7 +997,7 @@ class MappingService:
                 self._enter_degraded(repr(exc))
                 self._append_event(job, {"event": "degraded",
                                          "fallback": "thread"})
-                self._run_job_impl(job, worker_index, fabric_cache)
+                self._run_job_in_thread(job, worker_index, fabric_cache)
                 return
             if state == "restarted":
                 metrics.inc("repro_worker_restarts_total")
@@ -930,21 +1023,17 @@ class MappingService:
             try:
                 record, snap, child_logs, child_metrics = worker.run(
                     spec,
-                    on_event=on_event,
+                    on_event=lambda payload: self._job_event(job, payload),
                     deadline_seconds=(request.budget_seconds
                                       + self.hard_deadline_grace_seconds),
                     cancelled=lambda: job.cancel_requested,
                 )
             except procpool.WorkerCancelled:
-                with self._lock:
-                    self.counters["cancelled"] += 1
                 self._finish(job, JOB_CANCELLED)
                 return
             except procpool.WorkerJobError as exc:
                 # the engine raised on a healthy worker: a deterministic
                 # job failure, not a fault -- no retry
-                with self._lock:
-                    self.counters["failed"] += 1
                 self._finish(job, JOB_FAILED, error=str(exc))
                 return
             except procpool.WorkerCrash as crash:
@@ -966,94 +1055,40 @@ class MappingService:
                     logjson.emit(dict(child_record, job=job.id,
                                       trace=job.id,
                                       trace_id=job.trace_id or None))
-            with self._lock:
-                self.counters["engine_runs"] += 1
-            # only the surviving attempt's improvements belong to the
-            # result (a crashed attempt may have streamed a few first)
-            starts = [i for i, e in enumerate(job.events)
-                      if e.get("event") == "started"]
-            tail = job.events[starts[-1]:] if starts else job.events
-            record = dict(record, events=[
-                dict(e) for e in tail if e.get("event") == "improvement"])
-            if record["status"] in CACHEABLE_STATUSES:
-                self._store_put(job.key, request, record)
-            self._finish(job, JOB_DONE, result=record)
+            self._complete(job, record)
             return
 
-    def _run_job_impl(self, job: Job, worker_index: int,
-                      fabric_cache: Dict[str, CGRA]) -> None:
+    def _run_job_in_thread(self, job: Job, worker_index: int,
+                           fabric_cache: Dict[str, CGRA]) -> None:
+        """Run the job body on this worker thread (the degraded fallback
+        and ``execution="thread"``); cancellation aborts at the next
+        engine event."""
         request = job.request
+        attempt = job.attempts
         job.attempts += 1
-        with job.cond:
-            job.status = JOB_RUNNING
-            job.started = self._now()
-        # the time between submission and pickup, as a sibling span that
-        # ends exactly where worker.run begins
-        wait = max(job.started - job.created, 0.0)
-        obs_trace.add_complete("queue.wait", time.monotonic() - wait, wait,
-                               parent=0, job=job.id)
-        fabric_key = content_key(request.fabric_record())
-        cgra = fabric_cache.get(fabric_key)
-        warm = cgra is not None
-        if not warm:
-            try:
-                cgra = request.build_cgra()
-            except Exception as exc:
-                with self._lock:
-                    self.counters["failed"] += 1
-                self._finish(job, JOB_FAILED, error=f"fabric build: {exc!r}")
-                return
-            fabric_cache[fabric_key] = cgra
-        else:
-            with self._lock:
-                self.counters["fabric_cache_hits"] += 1
-            metrics.inc("repro_service_fabric_cache_hits_total")
-        self._append_event(job, {"event": "started", "worker": worker_index,
-                                 "warm_fabric": warm})
 
         def on_event(payload: Dict[str, object]) -> None:
             if job.cancel_requested:
                 raise _JobCancelled()
-            self._append_event(job, payload)
+            self._job_event(job, payload)
 
-        engine = create_engine(
-            request.approach,
-            cgra,
-            timeout_seconds=request.budget_seconds,
-            budget_seconds=request.budget_seconds,
-            seed=request.seed,
-            opt_level=request.opt_level,
-            opt_passes=request.opt_passes,
-            solver_backend=request.solver_backend or "arena",
-            strategy=request.strategy,
-            on_event=on_event,
-            # tracing wants the detailed per-phase solver clocks: they
-            # become the synthesized solver-tier child spans
-            profile=self.trace_dir is not None,
-        )
-        engine_start = time.monotonic()
         try:
-            result = engine.map(request.dfg)
+            record = run_request(
+                request, fabric_cache, on_event,
+                solver_backend=job.effective_backend,
+                seed=request.seed,
+                budget_seconds=request.budget_seconds,
+                profile=self.trace_dir is not None,
+                started={"worker": worker_index, "mode": "thread",
+                         "attempt": attempt},
+            )
         except _JobCancelled:
-            with self._lock:
-                self.counters["cancelled"] += 1
             self._finish(job, JOB_CANCELLED)
             return
         except Exception as exc:
-            with self._lock:
-                self.counters["failed"] += 1
             self._finish(job, JOB_FAILED, error=repr(exc))
             return
-        engine_seconds = time.monotonic() - engine_start
-        with self._lock:
-            self.counters["engine_runs"] += 1
-
-        improvements = [e for e in job.events
-                        if e.get("event") == "improvement"]
-        record = result_record(result, engine_seconds, improvements)
-        if record["status"] in CACHEABLE_STATUSES:
-            self._store_put(job.key, request, record)
-        self._finish(job, JOB_DONE, result=record)
+        self._complete(job, record)
 
     # ------------------------------------------------------------------ #
     # Observation
@@ -1179,24 +1214,12 @@ class MappingService:
             # no store, no journal: queued work cannot survive; cancel
             # it honestly rather than silently dropping it
             for job in drained:
-                with self._lock:
-                    self.counters["cancelled"] += 1
                 self._finish(job, JOB_CANCELLED)
             return 0
         if not drained:
             return 0
-        entries: List[Dict[str, object]] = []
-        if os.path.exists(path):
-            # merge a previous drain's journal instead of overwriting it
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entries.append(json.loads(line))
-                    except ValueError:
-                        continue
+        # merge a previous drain's journal instead of overwriting it
+        entries = _read_journal(path)
         for job in drained:
             entries.append({
                 "id": job.id,
@@ -1212,8 +1235,6 @@ class MappingService:
             os.fsync(handle.fileno())
         os.replace(tmp, path)
         for job in drained:
-            with self._lock:
-                self.counters["journaled"] += 1
             metrics.inc("repro_journal_jobs_total", op="journaled")
             self._finish(job, JOB_JOURNALED)
         return len(drained)
@@ -1229,18 +1250,8 @@ class MappingService:
         path = self.journal_path()
         if path is None or not os.path.exists(path):
             return 0
-        entries: List[Dict[str, object]] = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entries.append(json.loads(line))
-                except ValueError:
-                    continue
         recovered = 0
-        for entry in entries:
+        for entry in _read_journal(path):
             payload = entry.get("payload")
             if not isinstance(payload, dict):
                 continue

@@ -2,11 +2,13 @@
 
 One :class:`ProcessWorker` is a *persistent* child process plus the
 parent-side handle that supervises it.  The child runs a job loop --
-receive a job spec, rebuild the request, run the engine, stream events
-back, ship the result -- so repeated jobs keep the child's warm fabric
-cache and (for the native backend) its compiled solver state, while a
-segfaulting cffi call, an ``os._exit`` or a SIGKILL takes down *only*
-that child.  The parent detects death three ways and attributes it:
+receive a job spec, rebuild the request, run the job body
+(:func:`repro.service.jobs.run_request`, the same one the degraded
+in-thread path runs), stream events back, ship the result -- so repeated
+jobs keep the child's warm fabric cache and (for the native backend) its
+compiled solver state, while a segfaulting cffi call, an ``os._exit`` or
+a SIGKILL takes down *only* that child.  The parent detects death three
+ways and attributes it:
 
 * ``crashed`` -- the process exited (nonzero exit code or a signal)
   while a job was in flight; the pipe reports EOF or the process stops
@@ -206,6 +208,11 @@ def _execute(spec: Dict[str, object], fabric_cache: Dict[str, object],
              send: Callable[[Tuple], bool]):
     """Run one job spec in this child.
 
+    The job body itself is :func:`repro.service.jobs.run_request`, the
+    same one the degraded in-thread path runs; around it the child keeps
+    only its own concerns: trace reset, log capture, the metrics delta
+    and the fault-injection hooks.
+
     Returns ``(record, snapshot, log_records, metric_dump)`` -- the
     flattened result, the child's trace snapshot (or ``None``), the
     run-log records captured during the run (the child never writes the
@@ -213,9 +220,7 @@ def _execute(spec: Dict[str, object], fabric_cache: Dict[str, object],
     the per-job metrics-registry delta for the parent to fold in.
     """
     # jobs.py imports this module; resolve the cycle at call time
-    from repro.core.engine import create_engine
-    from repro.service.jobs import MapRequest, result_record
-    from repro.service.store import content_key
+    from repro.service.jobs import MapRequest, run_request
 
     attempt = int(spec.get("attempt", 0))
     plan = faults.plan()
@@ -243,38 +248,6 @@ def _execute(spec: Dict[str, object], fabric_cache: Dict[str, object],
         default_budget_seconds=float(spec.get("default_budget_seconds", 30.0)),
         max_budget_seconds=float(spec.get("max_budget_seconds", 300.0)),
     )
-    # supervision-time overrides: the effective backend may have been
-    # demoted by the parent after earlier crashes, and the stochastic
-    # seed was resolved once at submission (not per attempt)
-    backend = spec.get("solver_backend", request.solver_backend)
-    seed = spec.get("seed", request.seed)
-    budget = float(spec.get("budget_seconds", request.budget_seconds))
-
-    fabric_key = content_key(request.fabric_record())
-    cgra = fabric_cache.get(fabric_key)
-    warm = cgra is not None
-    if not warm:
-        cgra = request.build_cgra()
-        fabric_cache[fabric_key] = cgra
-    send(("event", {
-        "event": "started",
-        "worker": spec.get("worker"),
-        "mode": "process",
-        "pid": os.getpid(),
-        "warm_fabric": warm,
-        "attempt": attempt,
-    }))
-
-    slow = plan.slow_solver_seconds()
-    if slow:
-        time.sleep(slow)  # heartbeats keep flowing: slow is not stalled
-    stall = plan.stall_seconds(attempt)
-    if stall:
-        faults.begin_stall()
-        try:
-            time.sleep(stall)
-        finally:
-            faults.end_stall()
 
     first_improvement = [True]
 
@@ -284,28 +257,36 @@ def _execute(spec: Dict[str, object], fabric_cache: Dict[str, object],
             first_improvement[0] = False
             plan.maybe_kill("mid", attempt)
 
-    plan.maybe_kill("engine", attempt)
-    engine = create_engine(
-        request.approach,
-        cgra,
-        timeout_seconds=budget,
-        budget_seconds=budget,
-        seed=seed,
-        opt_level=request.opt_level,
-        opt_passes=request.opt_passes,
-        solver_backend=backend or "arena",
-        strategy=request.strategy,
-        on_event=on_event,
-        profile=traced,
-    )
-    engine_start = time.monotonic()
-    result = engine.map(request.dfg)
-    engine_seconds = time.monotonic() - engine_start
-    plan.maybe_kill("result", attempt)
+    def checkpoint(phase: str) -> None:
+        if phase == "engine":
+            slow = plan.slow_solver_seconds()
+            if slow:
+                time.sleep(slow)  # heartbeats keep flowing: slow is not stalled
+            stall = plan.stall_seconds(attempt)
+            if stall:
+                faults.begin_stall()
+                try:
+                    time.sleep(stall)
+                finally:
+                    faults.end_stall()
+        plan.maybe_kill(phase, attempt)
 
-    # improvement events already streamed live; the parent re-attaches
-    # its timestamped copies to the record before storing it
-    record = result_record(result, engine_seconds, [])
+    # supervision-time overrides: the effective backend may have been
+    # demoted by the parent after earlier crashes, and the stochastic
+    # seed was resolved once at submission (not per attempt); improvement
+    # events stream live, and the parent re-attaches its timestamped
+    # copies to the record before storing it
+    record = run_request(
+        request, fabric_cache, on_event,
+        solver_backend=spec.get("solver_backend", request.solver_backend),
+        seed=spec.get("seed", request.seed),
+        budget_seconds=float(spec.get("budget_seconds",
+                                      request.budget_seconds)),
+        profile=traced,
+        started={"worker": spec.get("worker"), "mode": "process",
+                 "attempt": attempt},
+        checkpoint=checkpoint,
+    )
     snapshot = obs_trace.snapshot() if traced else None
     log_records = logjson.capture_end()
     obs_trace.pop_trace()  # the persistent child reuses this thread
@@ -360,9 +341,10 @@ class ProcessWorker:
             return "alive"
         self._dispose()
         parent_conn, child_conn = self._context.Pipe(duplex=True)
-        # not daemonic: the portfolio engine forks its own racer pool
-        # inside a worker, which daemonic processes may not do; orphaned
-        # children exit on their own when the pipe reports EOF
+        # not daemonic: a daemonic process may not start multiprocessing
+        # children of its own, and a job running in the worker must stay
+        # free to; orphaned workers exit on their own when the pipe
+        # reports EOF
         process = self._context.Process(
             target=_child_main,
             args=(child_conn, self.index, self.heartbeat_interval,

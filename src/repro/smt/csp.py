@@ -61,9 +61,9 @@ def resolve_solver_backend(backend) -> type:
 
     ``"arena"`` (the default) is the flat-arena kernel in
     :mod:`repro.smt.sat`; ``"native"`` selects the fastest available
-    compiled tier of that kernel (C via cffi, numpy, or the arena solver
-    itself -- see :mod:`repro.smt.native`), with ``"native-c"`` and
-    ``"numpy"`` forcing a specific tier; ``"reference"`` is the
+    compiled tier of that kernel (C via cffi, or the arena solver itself
+    -- see :mod:`repro.smt.native`), with ``"native-c"`` forcing the C
+    tier; ``"reference"`` is the
     pre-rewrite kernel kept in :mod:`repro.smt.sat_reference` as the
     differential-testing oracle. A class is passed through unchanged.
     """
@@ -78,7 +78,7 @@ def resolve_solver_backend(backend) -> type:
         from repro.smt.native import native_solver_class
 
         return native_solver_class()
-    if name in ("native-c", "numpy"):
+    if name == "native-c":
         from repro.smt.native import tier_solver_class
 
         return tier_solver_class(name)
@@ -88,7 +88,7 @@ def resolve_solver_backend(backend) -> type:
         return ReferenceSATSolver
     raise ValueError(
         f"unknown solver backend {backend!r}; expected 'arena', 'native', "
-        "'native-c', 'numpy' or 'reference'"
+        "'native-c' or 'reference'"
     )
 
 

@@ -16,7 +16,7 @@ loaded, and cached under (in order) ``$REPRO_NATIVE_BUILD_DIR``,
 ``~/.cache/repro/native``, or a per-user temp directory. Every failure
 mode -- no cffi, no C compiler, unwritable cache -- degrades by
 returning ``None`` from :func:`load_kernel`; the caller falls back to
-the numpy or pure-Python tier.
+the pure-Python arena tier.
 """
 
 from __future__ import annotations

@@ -1047,11 +1047,10 @@ class SATSolver:
         """Select the clauses :meth:`_reduce_db` will tombstone.
 
         Returns the worst half of the deletable learnt clauses in
-        worst-first order. Split out from :meth:`_reduce_db` because the
-        numpy tier vectorises exactly this selection; the total order
-        (high LBD, then low activity, then low clause index -- the last
-        from the stable sort over ascending indices) is part of the
-        bit-identity contract between the backend tiers.
+        worst-first order. The total order (high LBD, then low activity,
+        then low clause index -- the last from the stable sort over
+        ascending indices) is part of the bit-identity contract between
+        the backend tiers: the C kernel replicates it.
         """
         arena = self.arena
         c_off = self.c_off

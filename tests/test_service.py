@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.core.mapping import Mapping
+from repro.service import procpool
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import MapRequest, MappingService, RequestError
 from repro.service.server import create_server
@@ -139,7 +140,13 @@ class TestMapRequest:
                     dict(base, opt_passes=["nope"]),
                     dict(base, solver_backend="z3"),
                     dict(base, seed="seven"),
+                    dict(base, seed=True),
+                    dict(base, priority=False),
+                    dict(base, solver_backend="numpy"),
                     dict(base, budget_seconds=-1),
+                    dict(base, budget_seconds=float("nan")),
+                    dict(base, budget_seconds="nan"),
+                    dict(base, budget_seconds=float("inf")),
                     dict(base, strategy="sideways"),
                     dict(base, arch="not_a_preset")):
             with pytest.raises(RequestError):
@@ -280,6 +287,64 @@ class TestMappingService:
             service.submit({"benchmark": "running_example",
                             "approach": "quantum"})
         assert service.counters["submitted"] == 0
+
+
+def _without_clocks(record):
+    """A result record minus its wall-clock fields."""
+    kept = {k: v for k, v in record.items() if not k.endswith("_seconds")}
+    stats = {k: v for k, v in kept["stats"].items() if k != "seconds"}
+    stats["per_ii"] = [{"ii": entry["ii"], "schedules": entry["schedules"]}
+                       for entry in stats.get("per_ii", ())]
+    return dict(kept, stats=stats)
+
+
+class TestOneJobBody:
+    """The worker child and the degraded in-thread fallback run the same
+    job body, so a request gives the same record and events on both."""
+
+    def _run_two_jobs(self, service):
+        jobs = []
+        # the second job is a different kernel on the same fabric: it
+        # runs (no store hit) on the one worker's warm fabric
+        for name in ("running_example", "crc32"):
+            job = service.submit({"benchmark": name,
+                                  "approach": "monomorphism"})
+            list(service.stream_events(job.id))
+            assert job.status == "done", job.error
+            jobs.append(job)
+        return jobs
+
+    def test_process_and_degraded_paths_agree(self, monkeypatch):
+        normal = MappingService(workers=1)
+        try:
+            process_jobs = self._run_two_jobs(normal)
+            process_hits = normal.counters["fabric_cache_hits"]
+        finally:
+            normal.shutdown()
+
+        def refuse(self):
+            raise procpool.WorkerStartError("fork refused (injected)")
+
+        monkeypatch.setattr(procpool.ProcessWorker, "ensure", refuse)
+        degraded = MappingService(workers=1)
+        try:
+            thread_jobs = self._run_two_jobs(degraded)
+            thread_hits = degraded.counters["fabric_cache_hits"]
+            assert degraded.health()["degraded"] is True
+        finally:
+            degraded.shutdown()
+
+        for process_job, thread_job in zip(process_jobs, thread_jobs):
+            assert (_without_clocks(process_job.result)
+                    == _without_clocks(thread_job.result))
+        for jobs, mode in ((process_jobs, "process"),
+                           (thread_jobs, "thread")):
+            for job, warm in zip(jobs, (False, True)):
+                started = [e for e in job.events if e["event"] == "started"]
+                assert len(started) == 1
+                assert started[0]["warm_fabric"] is warm
+                assert started[0]["mode"] == mode
+        assert process_hits == thread_hits == 1
 
 
 # --------------------------------------------------------------------- #

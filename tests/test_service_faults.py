@@ -191,7 +191,7 @@ class TestCrashRecovery:
 class TestGracefulDegradation:
     def test_crashing_backend_is_demoted_down_the_ladder(
             self, tmp_path, monkeypatch):
-        """native crashes twice -> the job finishes on numpy."""
+        """native crashes twice -> the job finishes on arena."""
         arm(monkeypatch, {"kill_worker": {"phase": "start",
                                           "attempts": [0, 1]}})
         service = MappingService(store_path=str(tmp_path / "results"),
@@ -205,9 +205,9 @@ class TestGracefulDegradation:
             demoted = next(e for e in job.events
                            if e["event"] == "backend_demoted")
             assert demoted["from"] == "native"
-            assert demoted["to"] == "numpy"
-            assert job.effective_backend == "numpy"
-            assert job.view()["effective_backend"] == "numpy"
+            assert demoted["to"] == "arena"
+            assert job.effective_backend is None
+            assert job.view()["effective_backend"] == "arena"
             assert service.counters["demotions"] == 1
             assert "repro_backend_demotions_total 1" in obs_metrics.render()
         finally:
