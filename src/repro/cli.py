@@ -165,7 +165,7 @@ def _remote_payload(args: argparse.Namespace) -> dict:
 def _cmd_map_remote(args: argparse.Namespace) -> int:
     """`repro-map map --remote URL`: compile on a running repro-serve."""
     from repro.core.mapping import Mapping
-    from repro.service.client import ServiceClient, ServiceError
+    from repro.service.client import TERMINAL, ServiceClient, ServiceError
 
     if args.simulate:
         print("error: --simulate is local-only; fetch the mapping with "
@@ -185,7 +185,7 @@ def _cmd_map_remote(args: argparse.Namespace) -> int:
             print(f"submitted {job_id} to {args.remote} "
                   f"(cache: {job.get('cache', 'miss')}, "
                   f"trace {job.get('trace_id', trace_id)})")
-            if job["status"] not in ("done", "failed", "cancelled"):
+            if job["status"] not in TERMINAL:
                 # follow the anytime stream; improvements print as they
                 # land, stamped with the server's monotonic-anchored `ts`
                 first_ts = None

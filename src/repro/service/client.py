@@ -38,6 +38,12 @@ from repro.obs import trace as obs_trace
 #: job statuses after which polling stops (matches jobs.TERMINAL_STATUSES)
 TERMINAL = ("done", "failed", "cancelled", "journaled")
 
+#: longest hold one ``wait`` poll asks for (matches the server's cap)
+MAX_JOB_WAIT_SECONDS = 30.0
+
+#: socket slack on top of a poll's hold, for the answer to arrive
+_HOLD_MARGIN_SECONDS = 1.0
+
 
 class ServiceError(RuntimeError):
     """A failed service interaction, carrying the server's error envelope.
@@ -217,8 +223,18 @@ class ServiceClient:
         return self._json("GET", "/v1/jobs")
 
     def job(self, job_id: str, timeout: Optional[float] = None,
-            retries: Optional[int] = None) -> Dict[str, object]:
-        return self._json("GET", f"/v1/jobs/{job_id}", timeout=timeout,
+            retries: Optional[int] = None,
+            wait: Optional[float] = None) -> Dict[str, object]:
+        """``GET /v1/jobs/<id>`` -- the job view, result included once done.
+
+        ``wait`` long-polls: the server holds the request until the job
+        is terminal or ``wait`` seconds pass (capped server-side), then
+        answers the current view either way.
+        """
+        path = f"/v1/jobs/{job_id}"
+        if wait is not None:
+            path += f"?wait={float(wait)}"
+        return self._json("GET", path, timeout=timeout,
                           retries=retries)["job"]
 
     def cancel(self, job_id: str) -> Dict[str, object]:
@@ -258,24 +274,30 @@ class ServiceClient:
 
     def wait(self, job_id: str, timeout: float = 120.0,
              poll_seconds: float = 0.05) -> Dict[str, object]:
-        """Poll until the job is terminal; raises TimeoutError otherwise.
+        """Long-poll until the job is terminal; raises TimeoutError otherwise.
 
-        ``timeout`` is a monotonic *overall* deadline: it also caps each
-        poll's socket timeout, so a hung server surfaces as
-        ``TimeoutError`` when the deadline passes, not after the full
-        per-request socket timeout on top of it. Transient poll failures
-        (connection refused, 5xx) keep polling until the deadline.
+        Each poll is a ``job(wait=...)`` the server holds until the job
+        finishes, so this returns as soon as it does. ``timeout`` is a
+        monotonic *overall* deadline: it also bounds each poll's hold
+        and socket timeout, so a hung server surfaces as ``TimeoutError``
+        shortly after the deadline, not after the full per-request socket
+        timeout on top of it. Transient poll failures (connection
+        refused, 5xx) keep polling until the deadline, ``poll_seconds``
+        apart; so do answers that come back sooner than that without the
+        job being terminal (a server that ignores ``?wait``).
         """
         deadline = time.monotonic() + timeout
+        status = "unknown"
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TimeoutError(
-                    f"job {job_id} not terminal after {timeout}s")
+                    f"job {job_id} still {status} after {timeout}s")
+            hold = min(remaining, MAX_JOB_WAIT_SECONDS)
+            sent = time.monotonic()
             try:
-                job = self.job(job_id,
-                               timeout=max(min(self.timeout, remaining),
-                                           0.05),
+                job = self.job(job_id, wait=hold,
+                               timeout=hold + _HOLD_MARGIN_SECONDS,
                                retries=0)
             except ServiceError as exc:
                 if not exc.retryable:
@@ -283,11 +305,12 @@ class ServiceClient:
                 job = None
             if job is not None and job["status"] in TERMINAL:
                 return job
-            if time.monotonic() + poll_seconds > deadline:
-                status = job["status"] if job is not None else "unreachable"
-                raise TimeoutError(
-                    f"job {job_id} still {status} after {timeout}s")
-            time.sleep(poll_seconds)
+            status = job["status"] if job is not None else "unreachable"
+            if job is None or time.monotonic() - sent < poll_seconds:
+                if time.monotonic() + poll_seconds > deadline:
+                    raise TimeoutError(
+                        f"job {job_id} still {status} after {timeout}s")
+                time.sleep(poll_seconds)
 
     def map(self, payload: Dict[str, object],
             timeout: float = 120.0) -> Dict[str, object]:

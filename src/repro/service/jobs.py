@@ -798,6 +798,17 @@ class MappingService:
         except KeyError as exc:
             raise KeyError(f"unknown job {job_id!r}") from exc
 
+    def wait_terminal(self, job_id: str, timeout: float) -> Job:
+        """The job once it is terminal or ``timeout`` seconds have passed.
+
+        Blocks on the job's condition, which every transition notifies,
+        so a finished job is returned at once rather than on a poll tick.
+        """
+        job = self.get(job_id)
+        with job.cond:
+            job.cond.wait_for(lambda: job.terminal, timeout)
+        return job
+
     def cancel(self, job_id: str) -> Job:
         """Request cancellation; queued jobs die before starting, running
         heuristic jobs abort at their next improvement callback."""
@@ -1228,6 +1239,9 @@ class MappingService:
                 "journaled_at": round(self._now(), 3),
             })
         tmp = path + ".tmp"
+        # the store creates its directory on first put; a drain before
+        # any result was stored must still be able to journal
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as handle:
             for entry in entries:
                 handle.write(json.dumps(entry, sort_keys=True) + "\n")

@@ -15,6 +15,7 @@ Routes::
     POST   /v1/jobs              submit; 200 on a store hit, 202 queued
     GET    /v1/jobs              list job summaries
     GET    /v1/jobs/<id>         one job, result included when done
+                                 (``?wait=S`` holds until terminal, S capped)
     GET    /v1/jobs/<id>/events  NDJSON event stream (``?from=N`` resumes)
     DELETE /v1/jobs/<id>         request cancellation
     GET    /v1/store/stats       result-store shard statistics
@@ -35,6 +36,7 @@ on submissions).
 from __future__ import annotations
 
 import json
+import math
 import selectors
 import socket
 import threading
@@ -57,6 +59,21 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 #: longest live sampling window /v1/debug/profile will hold a handler
 #: thread open for
 MAX_PROFILE_WINDOW_SECONDS = 30.0
+
+#: longest ``GET /v1/jobs/<id>?wait=S`` long-poll will hold a handler
+#: thread open for (``client.MAX_JOB_WAIT_SECONDS`` mirrors it)
+MAX_JOB_WAIT_SECONDS = 30.0
+
+
+def _query_seconds(query: Dict[str, list], name: str, cap: float) -> float:
+    """``?name=S`` as seconds in ``[0, cap]``; 400 on anything else."""
+    try:
+        seconds = float(query[name][0])
+    except (ValueError, IndexError) as exc:
+        raise RequestError(f"'{name}' must be a number") from exc
+    if not math.isfinite(seconds) or seconds < 0:
+        raise RequestError(f"'{name}' must be a finite number >= 0")
+    return min(seconds, cap)
 
 
 def _engine_listing() -> Dict[str, object]:
@@ -193,13 +210,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         """
         seconds = 0.0
         if "seconds" in query:
-            try:
-                seconds = float(query["seconds"][0])
-            except (ValueError, IndexError) as exc:
-                raise RequestError("'seconds' must be a number") from exc
-            if seconds < 0:
-                raise RequestError("'seconds' must be >= 0")
-            seconds = min(seconds, MAX_PROFILE_WINDOW_SECONDS)
+            seconds = _query_seconds(query, "seconds",
+                                     MAX_PROFILE_WINDOW_SECONDS)
         if seconds:
             before = profiler.cumulative()
             time.sleep(seconds)
@@ -238,7 +250,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
                         for job in self.service.jobs.values()]
                 self._send_json(200, {"jobs": jobs})
             elif collection == "jobs" and sub is None:
-                job = self.service.get(job_id)
+                if "wait" in query:
+                    job = self.service.wait_terminal(job_id, _query_seconds(
+                        query, "wait", MAX_JOB_WAIT_SECONDS))
+                else:
+                    job = self.service.get(job_id)
                 self._send_json(200, {"job": job.view()})
             elif collection == "jobs" and sub == "events":
                 self._stream_events(job_id, query)

@@ -3,13 +3,22 @@
 import json
 import os
 import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from repro.core.mapping import Mapping
-from repro.service import procpool
+from repro.service import client as service_client
+from repro.service import faults, procpool
+from repro.service import server as service_server
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import MapRequest, MappingService, RequestError
+from repro.service.jobs import (
+    TERMINAL_STATUSES,
+    MapRequest,
+    MappingService,
+    RequestError,
+)
 from repro.service.server import create_server
 from repro.service.store import ResultStore, content_key, file_content_hash
 from repro.workloads.suite import load_benchmark
@@ -453,6 +462,135 @@ class TestServiceEndToEnd:
         assert serve_main(["status", "--url", client.base_url]) == 0
         health = json.loads(capsys.readouterr().out)
         assert health["status"] == "ok"
+
+
+# --------------------------------------------------------------------- #
+# Long-poll: GET /v1/jobs/<id>?wait=S and ServiceClient.wait
+# --------------------------------------------------------------------- #
+MONO_PAYLOAD = {"benchmark": "running_example", "approach": "monomorphism"}
+
+
+@pytest.fixture
+def queued_job(tmp_path, monkeypatch):
+    """A live daemon whose only worker is busy and which is draining, so
+    its second job stays ``queued`` until a drain journals it.  Nothing
+    has been stored yet, so that drain journals into a store directory
+    that does not exist yet."""
+    monkeypatch.setenv(faults.ENV_VAR,
+                       json.dumps({"slow_solver": {"seconds": 1.5}}))
+    faults.reset()
+    service = MappingService(store_path=str(tmp_path / "results"),
+                             workers=1)
+    server = create_server(service, host="127.0.0.1", port=0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
+    try:
+        client.submit(dict(REFINE_PAYLOAD, seed=31))
+        job = client.submit(dict(REFINE_PAYLOAD, seed=32))
+        service.begin_drain()
+        yield service, client, job["id"]
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.shutdown()
+        monkeypatch.delenv(faults.ENV_VAR)
+        faults.reset()
+
+
+class TestLongPoll:
+    def test_held_poll_returns_the_current_view_after_the_hold(
+            self, queued_job):
+        _, client, job_id = queued_job
+        started = time.monotonic()
+        job = client.job(job_id, wait=0.3)
+        elapsed = time.monotonic() - started
+        assert job["status"] == "queued"
+        assert 0.3 <= elapsed < 1.0
+
+    def test_held_poll_returns_once_the_drain_journals_the_job(
+            self, queued_job):
+        service, client, job_id = queued_job
+        answers = []
+        poller = threading.Thread(
+            target=lambda: answers.append(
+                (client.job(job_id, wait=10), time.monotonic())))
+        poller.start()
+        time.sleep(0.1)  # let the poll reach the server and block
+        assert service.drain(timeout=0)["journaled"] == 1
+        journaled_at = time.monotonic()
+        poller.join(timeout=10)
+        assert not poller.is_alive()
+        job, answered_at = answers[0]
+        assert job["status"] == "journaled"
+        assert answered_at - journaled_at < 0.5
+
+    def test_wait_takes_at_most_two_polls(self, live_server, monkeypatch):
+        _, client = live_server
+        polls = []
+        real_job = client.job
+
+        def counting_job(*args, **kwargs):
+            polls.append(kwargs.get("wait"))
+            return real_job(*args, **kwargs)
+
+        monkeypatch.setattr(client, "job", counting_job)
+        job = client.submit(dict(MONO_PAYLOAD))
+        done = client.wait(job["id"], timeout=60)
+        assert done["status"] == "done"
+        assert done["result"]["status"] == "success"
+        assert 1 <= len(polls) <= 2
+        assert all(wait is not None and wait > 0 for wait in polls)
+
+    def test_wait_spaces_polls_against_a_server_ignoring_wait(self):
+        arrivals = []
+
+        class AlwaysRunning(BaseHTTPRequestHandler):
+            def do_GET(self):  # noqa: N802 (http.server API)
+                arrivals.append(time.monotonic())
+                body = json.dumps({"job": {"id": "j000001",
+                                           "status": "running"}}).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        stub = ThreadingHTTPServer(("127.0.0.1", 0), AlwaysRunning)
+        threading.Thread(target=stub.serve_forever, daemon=True).start()
+        try:
+            client = ServiceClient(
+                f"http://127.0.0.1:{stub.server_address[1]}", retries=0)
+            with pytest.raises(TimeoutError, match="still running"):
+                client.wait("j000001", timeout=0.6, poll_seconds=0.1)
+        finally:
+            stub.shutdown()
+            stub.server_close()
+        assert len(arrivals) >= 3
+        gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
+        assert min(gaps) >= 0.1
+
+    def test_bad_wait_and_profile_seconds_answer_400(self, live_server):
+        _, client = live_server
+        job_id = client.map(dict(MONO_PAYLOAD))["id"]
+        paths = [f"/v1/jobs/{job_id}?wait={value}"
+                 for value in ("nan", "inf", "-1", "abc")]
+        paths.append("/v1/debug/profile?seconds=nan")
+        for path in paths:
+            with pytest.raises(ServiceError) as excinfo:
+                client._json("GET", path)
+            assert excinfo.value.status == 400, path
+            assert excinfo.value.code == "bad_request", path
+        with pytest.raises(ServiceError) as excinfo:
+            client.job("j999999", wait=0.1)
+        assert excinfo.value.status == 404
+
+    def test_client_and_server_agree_on_terminal_and_the_hold_cap(self):
+        assert service_client.TERMINAL == TERMINAL_STATUSES
+        assert service_client.MAX_JOB_WAIT_SECONDS == \
+            service_server.MAX_JOB_WAIT_SECONDS
 
 
 # --------------------------------------------------------------------- #
